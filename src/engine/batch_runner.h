@@ -1,16 +1,19 @@
-// Cross-query batching over shared shard plans.
+// The one shard pipeline: cross-query batches over shared shard plans,
+// and through them every sharded RunJoin and every delta patch.
 //
-// The paper's Tetris engine amortizes its geometric certificate work
-// across the whole output space; this layer amortizes the *harness*
-// work across a whole batch of queries over the same relations. A
-// sequential sweep of RunJoin pays full index-build + shard-planning
-// cost per query and puts a barrier between queries — a skewed shard of
-// query A leaves workers idle that query B could use. RunBatch instead:
+// The paper's dyadic box decomposition makes three things the same
+// operation. A sharded run, a batch and a delta patch each run Tetris
+// (or a baseline) on disjoint dyadic subcubes of the output space and
+// take the union, Q(D) = ⊎ Q(D|shard). A sharded RunJoin is a one-query
+// batch; a patch (engine/incremental.h) is a one-query batch that runs
+// only the shards a delta touches and splices the old result's tuples
+// back in everywhere else. RunBatch is that pipeline:
 //
-//   (a) builds each relation's base indexes EXACTLY ONCE per batch and
-//       shares them across every query's shards through the existing
-//       zero-copy IndexView stack (index/index_view.h) — a relation
-//       referenced by five queries is indexed once, not five times;
+//   (a) draws each relation's base indexes from an IndexCache — or
+//       takes them from the caller (BatchQueryInputs::indexes) — and
+//       shares them across every query's shards through the zero-copy
+//       IndexView stack (index/index_view.h): a relation referenced by
+//       five queries is indexed once, not five times;
 //   (b) plans dyadic-prefix shards ONCE per distinct output-space
 //       signature (depth + per-atom relation/attribute binding) and
 //       reuses the ShardPlan — its row buckets are the expensive part —
@@ -18,10 +21,14 @@
 //   (c) schedules the cross-product of queries × shards as ONE task set
 //       on the work-stealing executor (engine/parallel_executor.h), so
 //       shards of different queries interleave freely instead of
-//       synchronizing at per-query barriers;
+//       synchronizing at per-query barriers; the baselines materialize
+//       each shard's restricted copy inside its task;
 //   (d) calibrates the per-engine-family cost model ONCE per batch (the
 //       probe pass of engine/cost_model.h) and shares the fit with
-//       every plan, reusing the probe outputs as those shards' results.
+//       every plan, reusing the probe outputs as those shards' results;
+//   (e) merges each query's shard outputs by shard id — splicing in a
+//       patch base's tuples for the shards a patch kept — into one
+//       EngineResult.
 //
 // Results are per-query EngineResults, tuple-identical to what a
 // sequential per-query RunJoin would produce (tests/batch_runner_test.cc
@@ -36,6 +43,7 @@
 #include <vector>
 
 #include "engine/join_engine.h"
+#include "geometry/dyadic_box.h"
 #include "query/join_query.h"
 #include "relation/relation.h"
 
@@ -115,6 +123,30 @@ struct BatchOptions {
   std::chrono::steady_clock::time_point deadline{};
 };
 
+/// Per-query data a caller can hand RunBatch beside the query itself
+/// (one entry per query, or none at all).
+struct BatchQueryInputs {
+  /// The query's MinDepth() when the caller has already scanned the
+  /// relations for it; 0 = RunBatch scans them itself.
+  int min_depth = 0;
+
+  /// Caller-built base indexes with EngineOptions::indexes semantics:
+  /// one per atom, built at the batch depth, pointers outliving the
+  /// call. Tetris family only (the baselines scan relations). Empty =
+  /// drawn from the index cache.
+  std::vector<const Index*> indexes;
+
+  /// Patch mode. When non-null, the query's result before a delta: only
+  /// the shards that meet a `touched` box run, and the old tuples
+  /// outside them are kept (EngineResult::shard_runs marks those shards
+  /// `kept`). `touched` comes from TouchedOutputBoxes
+  /// (engine/incremental.h) over every delta since the base was
+  /// computed; the query must be built over the post-delta relations.
+  /// No touched box = the base is the result, with nothing planned.
+  const std::vector<Tuple>* patch_base = nullptr;
+  std::vector<DyadicBox> touched;
+};
+
 /// Batch-level amortization counters.
 struct BatchStats {
   size_t queries = 0;    ///< batch size
@@ -180,10 +212,21 @@ struct BatchResult {
 /// — every atom of every query must reference one of them (that is what
 /// makes the sharing sound); pass the pool the queries were built over.
 /// An empty pool infers the universe from the queries themselves.
-/// Never throws; see BatchResult::ok for the failure contract.
+/// `inputs` is empty or holds one entry per query. Never throws; see
+/// BatchResult::ok for the failure contract.
 BatchResult RunBatch(const std::vector<const Relation*>& relations,
                      const std::vector<JoinQuery>& queries, EngineKind kind,
-                     const BatchOptions& options = {});
+                     const BatchOptions& options = {},
+                     const std::vector<BatchQueryInputs>& inputs = {});
+
+/// Runs `query` as a one-query batch under RunJoin's option semantics:
+/// depth (adopted from `options.indexes` when unset), shards, threads,
+/// memory budget, executor, order hint and caller indexes carry over;
+/// `inputs` adds a patch. A batch-level failure comes back as the
+/// result's error, and `wall_ms` is the whole call's wall time.
+EngineResult RunOneQueryBatch(const JoinQuery& query, EngineKind kind,
+                              const EngineOptions& options,
+                              BatchQueryInputs inputs = {});
 
 }  // namespace tetris
 

@@ -606,7 +606,7 @@ void RunReporter::Row(const std::string& scenario, const Params& params,
   EmitRow("run", scenario, params, EngineKindName(run.kind), ok,
           run.result.error, run.result.stats, run.result.tuples.size(),
           /*box=*/"", run.result.shard_note);
-  // Per-shard sub-rows of a sharded run (engine/parallel_executor.h):
+  // Per-shard sub-rows of a sharded run (engine/batch_runner.h):
   // skipped-empty shards report zero work with a note instead of stats.
   for (const ShardRunInfo& shard : run.result.shard_runs) {
     Params shard_params = params;

@@ -1,41 +1,11 @@
 #include "engine/incremental.h"
 
-#include <algorithm>
-#include <chrono>
 #include <unordered_set>
 #include <utility>
 
-#include "engine/parallel_executor.h"
-#include "engine/shard_planner.h"
-#include "geometry/box_restrict.h"
+#include "engine/batch_runner.h"
 
 namespace tetris {
-
-namespace {
-
-bool IsPermutation(const std::vector<int>& order, int n) {
-  if (order.size() != static_cast<size_t>(n)) return false;
-  std::vector<bool> seen(n, false);
-  for (int v : order) {
-    if (v < 0 || v >= n || seen[v]) return false;
-    seen[v] = true;
-  }
-  return true;
-}
-
-bool ChoosesOwnSao(EngineKind kind) {
-  return kind == EngineKind::kTetrisPreloadedLB ||
-         kind == EngineKind::kTetrisReloadedLB;
-}
-
-EngineResult Failed(EngineKind kind, std::string error) {
-  EngineResult r;
-  r.stats.engine = kind;
-  r.error = std::move(error);
-  return r;
-}
-
-}  // namespace
 
 TupleTouch TouchedBoxOfTuple(const std::vector<int>& var_ids, int num_attrs,
                              int depth, const Tuple& t, DyadicBox* out) {
@@ -91,157 +61,25 @@ PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
                       const EngineOptions& options,
                       const std::vector<Tuple>& old_tuples,
                       const std::vector<DyadicBox>& touched) {
-  const auto t0 = std::chrono::steady_clock::now();
+  BatchQueryInputs patch;
+  patch.patch_base = &old_tuples;
+  patch.touched = touched;
   PatchResult out;
-  auto finish = [&t0, &out]() -> PatchResult& {
-    const auto t1 = std::chrono::steady_clock::now();
-    out.result.stats.wall_ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    return out;
-  };
-
-  // Validation mirrors RunJoin so a patch fails exactly where a fresh
-  // run would — delegating to RunJoin for unsupported shapes keeps the
-  // rejection message canonical (e.g. "yannakakis: query is not
-  // alpha-acyclic").
-  if (!EngineSupports(kind, query)) {
-    out.result = RunJoin(query, kind, options);
-    out.full_recompute = true;
-    return finish();
-  }
-  if (!options.order.empty()) {
-    if (ChoosesOwnSao(kind)) {
-      out.result =
-          Failed(kind, "order: Balance-lifted variants choose their own SAO");
-      return finish();
-    }
-    if (!IsPermutation(options.order, query.num_attrs())) {
-      out.result =
-          Failed(kind, "order: not a permutation of the query attribute ids");
-      return finish();
+  out.result = RunOneQueryBatch(query, kind, options, std::move(patch));
+  for (const ShardRunInfo& shard : out.result.shard_runs) {
+    if (shard.kept) {
+      out.tuples_kept += shard.output_tuples;
+    } else {
+      ++out.shards_rerun;
+      out.tuples_patched += shard.output_tuples;
     }
   }
-
-  // Nothing touched: the old result is the new result, no planning.
-  if (touched.empty()) {
-    out.result.ok = true;
-    out.result.stats.engine = kind;
-    out.result.tuples = old_tuples;
-    out.result.stats.output_tuples = old_tuples.size();
-    out.tuples_kept = old_tuples.size();
-    out.note = "empty delta: result unchanged, 0 shards re-run";
-    AppendNote(&out.result.shard_note, out.note);
-    return finish();
-  }
-
-  const int depth = options.depth > 0 ? options.depth : query.MinDepth();
-  auto full_run = [&](const std::string& why) -> PatchResult& {
-    out.result = RunJoin(query, kind, options);
-    out.full_recompute = true;
-    out.note = "full recompute: " + why;
-    AppendNote(&out.result.shard_note, out.note);
-    out.tuples_patched = out.result.tuples.size();
-    return finish();
-  };
-  for (const DyadicBox& b : touched) {
-    if (b.Support().empty()) {
-      return full_run("a touched box covers the whole output space");
-    }
-  }
-
-  WorkStealingPool& pool = options.executor != nullptr
-                               ? *options.executor
-                               : WorkStealingPool::Global();
-  ShardPlanOptions popts;
-  popts.shards = options.shards;
-  popts.threads_hint = pool.threads();
-  popts.memory_budget_bytes = options.memory_budget_bytes;
-  popts.depth = depth;
-  const ShardPlan plan = PlanShards(query, popts);
-  out.shards_total = plan.shards.size();
-
-  // Re-run exactly the shards whose subcube meets a touched box; a
-  // shard disjoint from every touched box is provably unchanged.
-  std::vector<int> rerun;
-  for (const Shard& shard : plan.shards) {
-    if (IntersectsAny(shard.box, touched)) rerun.push_back(shard.id);
-  }
-  out.shards_rerun = rerun.size();
-
-  // Fresh evaluation of the re-run shards, exactly the way a full
-  // sharded run evaluates all of them: zero-copy IndexViews for the
-  // Tetris family, lazily materialized copies for the baselines.
-  const std::optional<JoinAlgorithm> algo = TetrisAlgorithmOf(kind);
-  TetrisShardContext tctx;
-  if (algo.has_value()) {
-    std::vector<const Index*> shared_base;
-    if (options.indexes.size() == query.atoms().size()) {
-      shared_base = options.indexes;
-    }
-    tctx = MakeTetrisShardContext(query, *algo, depth, options.order,
-                                  std::move(shared_base));
-  }
-  EngineOptions shard_opts;
-  shard_opts.order = options.order;
-  shard_opts.depth = depth;
-  std::vector<EngineResult> fresh(rerun.size());
-  ParallelFor(&pool, options.threads, static_cast<int>(rerun.size()),
-              [&](int i) {
-                const Shard& shard = plan.shards[rerun[i]];
-                if (shard.empty) {
-                  // Some atom restricted to ∅ under the new data: the
-                  // box's output is empty without touching the engine.
-                  fresh[i].ok = true;
-                  fresh[i].stats.engine = kind;
-                  return;
-                }
-                fresh[i] = algo.has_value()
-                               ? RunTetrisViewShard(tctx, shard.box, kind)
-                               : RunMaterializedShard(query, plan, rerun[i],
-                                                      kind, shard_opts);
-              });
-  for (const EngineResult& r : fresh) {
-    if (!r.ok) return full_run("shard failed (" + r.error + ")");
-  }
-
-  // Splice: keep old tuples outside every re-run box (unchanged by
-  // construction), replace everything inside with the fresh outputs.
-  EngineResult& res = out.result;
-  res.ok = true;
-  res.stats.engine = kind;
-  for (const Tuple& t : old_tuples) {
-    bool in_rerun = false;
-    for (int sid : rerun) {
-      if (plan.shards[sid].box.ContainsPoint(t, depth)) {
-        in_rerun = true;
-        break;
-      }
-    }
-    if (!in_rerun) res.tuples.push_back(t);
-  }
-  out.tuples_kept = res.tuples.size();
-  for (EngineResult& r : fresh) {
-    out.tuples_patched += r.tuples.size();
-    res.tuples.insert(res.tuples.end(),
-                      std::make_move_iterator(r.tuples.begin()),
-                      std::make_move_iterator(r.tuples.end()));
-    AccumulateShardStats(&res.stats, r.stats);
-  }
-  std::sort(res.tuples.begin(), res.tuples.end());
-  res.tuples.erase(std::unique(res.tuples.begin(), res.tuples.end()),
-                   res.tuples.end());
-  res.stats.output_tuples = res.tuples.size();
-  res.stats.shards = plan.shards.size();
-  res.stats.threads = static_cast<size_t>(pool.threads());
-  res.stats.plan_bytes = plan.PlanningBytes();
-  res.stats.memory.index_bytes =
-      std::max(res.stats.memory.index_bytes, tctx.base_index_bytes);
-  out.note = "patched " + std::to_string(out.shards_rerun) + "/" +
-             std::to_string(out.shards_total) + " shards from " +
-             std::to_string(touched.size()) + " touched box(es); kept " +
-             std::to_string(out.tuples_kept) + " tuples";
-  AppendNote(&res.shard_note, out.note);
-  return finish();
+  out.shards_total = out.result.shard_runs.size();
+  if (touched.empty()) out.tuples_kept = out.result.tuples.size();
+  out.full_recompute =
+      out.shards_total > 0 && out.shards_rerun == out.shards_total;
+  out.note = out.result.shard_note;
+  return out;
 }
 
 }  // namespace tetris

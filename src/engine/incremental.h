@@ -12,18 +12,19 @@
 //   * a REMOVED tuple can only destroy output points whose R-projection
 //     was that tuple — again all inside its touched box.
 //
-// PatchJoin exploits this through the existing dyadic-prefix shard
-// decomposition (engine/shard_planner.h): plan the output space into
-// disjoint subcubes, re-run ONLY the shards whose box intersects a
-// touched box (through the same shard primitives a full sharded run
-// uses — zero-copy IndexViews for the Tetris family, lazy materialized
-// copies for the baselines, scheduled on the work-stealing executor),
-// and splice the fresh shard outputs into the previous result: old
-// tuples inside a re-run box are dropped (the re-run recomputes that
-// box exactly), old tuples outside every re-run box are kept. The
-// splice is correct for inserts AND deletes, including delete-
-// everything: every destroyed output point lies in a touched box, so
-// its shard is re-run and returns without it.
+// A patch is therefore a one-query batch through the shard pipeline
+// (engine/batch_runner.h, BatchQueryInputs::patch_base): plan the output
+// space into disjoint dyadic subcubes, re-run ONLY the shards whose box
+// intersects a touched box — the same zero-copy IndexViews / lazy
+// materialized copies every shard runs through — and splice the fresh
+// shard outputs into the previous result: old tuples inside a re-run
+// box are dropped (the re-run recomputes that box exactly), old tuples
+// outside every re-run box are kept. The splice is correct for inserts
+// AND deletes, including delete-everything: every destroyed output point
+// lies in a touched box, so its shard is re-run and returns without it.
+// PatchJoin is the engine-level wrapper of that call; the service
+// (server/join_service.h) makes the call itself, with its index cache
+// and the request deadline.
 //
 // The correctness oracle is cheap and the tests lean on it hard
 // (tests/incremental_oracle.h): recompute from scratch and compare
@@ -74,8 +75,8 @@ struct PatchResult {
   size_t shards_rerun = 0;  ///< shards intersecting a touched box
   size_t tuples_kept = 0;     ///< old tuples outside every re-run box
   size_t tuples_patched = 0;  ///< fresh tuples from the re-run shards
-  /// True when the patch degenerated to a full RunJoin (a universal
-  /// touched box, a shard failure, or a query the planner cannot split).
+  /// True when every planned shard re-ran (a universal touched box, or
+  /// a delta that meets every shard): the patch cost a full run.
   bool full_recompute = false;
   std::string note;  ///< human-readable patch diagnostics
 };
@@ -86,9 +87,9 @@ struct PatchResult {
 /// be built over the post-delta relation versions; `touched` comes from
 /// TouchedOutputBoxes over every delta since `old_tuples` was computed.
 /// An empty `touched` returns `old_tuples` unchanged without planning.
-/// Options follow RunJoin semantics (order hint, depth, shard count,
-/// memory budget, executor); engines that cannot evaluate the query
-/// fail the same way RunJoin does. Never throws.
+/// Options follow RunJoin semantics (order hint, caller indexes, depth,
+/// shard count, memory budget, executor); a query RunJoin rejects fails
+/// the same way here. Never throws.
 PatchResult PatchJoin(const JoinQuery& query, EngineKind kind,
                       const EngineOptions& options,
                       const std::vector<Tuple>& old_tuples,

@@ -8,7 +8,7 @@
 #include "baseline/leapfrog.h"
 #include "baseline/pairwise_join.h"
 #include "baseline/yannakakis.h"
-#include "engine/parallel_executor.h"
+#include "engine/batch_runner.h"
 #include "index/sorted_index.h"
 
 namespace tetris {
@@ -40,13 +40,6 @@ std::optional<JoinAlgorithm> TetrisAlgorithmOf(EngineKind kind) {
 }
 
 namespace {
-
-// The Balance-lifted variants choose their own SAO (join_runner asserts
-// sao.empty()), so an explicit order hint must be rejected up front.
-bool ChoosesOwnSao(EngineKind kind) {
-  return kind == EngineKind::kTetrisPreloadedLB ||
-         kind == EngineKind::kTetrisReloadedLB;
-}
 
 bool IsPermutation(const std::vector<int>& order, int n) {
   if (order.size() != static_cast<size_t>(n)) return false;
@@ -169,28 +162,54 @@ bool EngineSupports(EngineKind kind, const JoinQuery& query) {
   return query.ToHypergraph().IsAlphaAcyclic();
 }
 
+std::string QueryError(EngineKind kind, const JoinQuery& query,
+                       const std::vector<int>& order) {
+  if (!EngineSupports(kind, query)) {
+    return std::string(EngineKindName(kind)) +
+           ": engine does not support this query";
+  }
+  if (order.empty()) return "";
+  if (!IsPermutation(order, query.num_attrs())) {
+    return "order: not a permutation of the query attribute ids";
+  }
+  // The Balance-lifted variants choose their own SAO (join_runner
+  // asserts sao.empty()), so an explicit hint is rejected up front.
+  if (kind == EngineKind::kTetrisPreloadedLB ||
+      kind == EngineKind::kTetrisReloadedLB) {
+    return "order: Balance-lifted variants choose their own SAO";
+  }
+  return "";
+}
+
+std::string IndexesError(const JoinQuery& query,
+                         const std::vector<const Index*>& indexes,
+                         int depth) {
+  if (indexes.size() != query.atoms().size()) {
+    return "indexes: need exactly one index per query atom";
+  }
+  for (size_t i = 0; i < indexes.size(); ++i) {
+    // The engine's grid depth and every index's depth must agree, or
+    // probes return gap boxes the space cannot split down to and the
+    // run never terminates.
+    if (indexes[i]->depth() != depth) {
+      return "indexes: index depth disagrees with the engine depth (build "
+             "them at the same depth, or set EngineOptions::depth to "
+             "match)";
+    }
+    if (indexes[i]->arity() !=
+        static_cast<int>(query.atoms()[i].var_ids.size())) {
+      return "indexes: index arity disagrees with its atom";
+    }
+  }
+  return "";
+}
+
 EngineResult RunJoin(const JoinQuery& query, EngineKind kind,
                      const EngineOptions& options) {
   EngineResult result;
   result.stats.engine = kind;
   const auto start = std::chrono::steady_clock::now();
 
-  const std::optional<JoinAlgorithm> tetris_algo = TetrisAlgorithmOf(kind);
-  if (!options.order.empty()) {
-    if (!IsPermutation(options.order, query.num_attrs())) {
-      result.error = "order: not a permutation of the query attribute ids";
-      return result;
-    }
-    if (ChoosesOwnSao(kind)) {
-      result.error = "order: Balance-lifted variants choose their own SAO";
-      return result;
-    }
-  }
-  if (!options.indexes.empty() &&
-      options.indexes.size() != query.atoms().size()) {
-    result.error = "indexes: need exactly one index per query atom";
-    return result;
-  }
   if (options.shards < kAutoShards) {
     result.error = "shards: want -1 (auto), 0/1 (off), or >= 2";
     return result;
@@ -200,10 +219,10 @@ EngineResult RunJoin(const JoinQuery& query, EngineKind kind,
     return result;
   }
 
-  // Sharded execution: plan dyadic-prefix shards and fan out to the
-  // parallel executor, which re-enters RunJoin per shard with plain
-  // sequential options. A thread count other than 1 implies sharding
-  // (shards are the unit of parallelism).
+  // Sharded execution is a one-query batch through the shard pipeline
+  // (engine/batch_runner.h), which re-enters RunJoin per shard with
+  // plain sequential options. A thread count other than 1 implies
+  // sharding (shards are the unit of parallelism).
   const bool wants_sharding =
       options.shards == kAutoShards || options.shards > 1 ||
       options.memory_budget_bytes > 0 || options.threads != 1;
@@ -212,63 +231,54 @@ EngineResult RunJoin(const JoinQuery& query, EngineKind kind,
     if (sharded.shards == 0 || sharded.shards == 1) {
       sharded.shards = kAutoShards;
     }
-    return RunShardedJoin(query, kind, sharded);
+    return RunOneQueryBatch(query, kind, sharded);
   }
 
-  if (tetris_algo.has_value()) {
+  result.error = QueryError(kind, query, options.order);
+  if (result.error.empty() && !options.indexes.empty() &&
+      options.indexes.size() != query.atoms().size()) {
+    result.error = "indexes: need exactly one index per query atom";
+  }
+  if (!result.error.empty()) return result;
+
+  if (const std::optional<JoinAlgorithm> tetris_algo = TetrisAlgorithmOf(kind);
+      tetris_algo.has_value()) {
     // A grid shallower than the data cannot represent it: indexes built
-    // at that depth misbehave silently, so reject up front (the custom-
-    // index path re-checks below because it may adopt the indexes'
-    // depth instead).
-    if (options.depth > 0 && options.depth < query.MinDepth()) {
+    // at that depth misbehave silently, so reject up front. One scan of
+    // the relations serves every depth decision below.
+    const int min_depth = query.MinDepth();
+    if (options.depth > 0 && options.depth < min_depth) {
       result.error = "depth: too small for the data "
                      "(need at least query.MinDepth())";
       return result;
     }
-    int depth = options.depth > 0 ? options.depth : query.MinDepth();
     JoinRunResult run;
     if (!options.indexes.empty()) {
-      // The engine's grid depth and every index's depth must agree, or
-      // probes return gap boxes the space cannot split down to and the
-      // run never terminates. With no explicit depth, adopt the
-      // indexes' (still checking they agree among themselves and cover
-      // the data).
-      if (options.depth == 0) depth = options.indexes[0]->depth();
-      for (size_t i = 0; i < options.indexes.size(); ++i) {
-        if (options.indexes[i]->depth() != depth) {
-          result.error = "indexes: index depth disagrees with the "
-                         "engine depth (build them at the same depth, "
-                         "or set EngineOptions::depth to match)";
-          return result;
-        }
-        const Atom& atom = query.atoms()[i];
-        if (options.indexes[i]->arity() !=
-            static_cast<int>(atom.var_ids.size())) {
-          result.error = "indexes: index arity disagrees with its atom";
-          return result;
-        }
-      }
-      if (depth < query.MinDepth()) {
+      // With no explicit depth, adopt the indexes' (still checking they
+      // agree among themselves and cover the data).
+      const int depth =
+          options.depth > 0 ? options.depth : options.indexes[0]->depth();
+      result.error = IndexesError(query, options.indexes, depth);
+      if (result.error.empty() && depth < min_depth) {
         result.error = "indexes: depth too small for the data "
                        "(need at least query.MinDepth())";
-        return result;
       }
+      if (!result.error.empty()) return result;
       run = RunTetrisJoin(query, options.indexes, depth, *tetris_algo,
                           options.order);
-    } else if (options.order.empty() && options.depth == 0) {
-      run = RunTetrisJoinDefaultIndexes(query, *tetris_algo);
-    } else if (options.order.empty()) {
-      // Depth override, default index layout (relation column order) and
-      // variant-appropriate default SAO.
-      std::vector<std::unique_ptr<Index>> owned;
-      std::vector<const Index*> ptrs;
-      for (const Atom& a : query.atoms()) {
-        owned.push_back(std::make_unique<SortedIndex>(*a.rel, depth));
-        ptrs.push_back(owned.back().get());
-      }
-      run = RunTetrisJoin(query, ptrs, depth, *tetris_algo);
     } else {
-      auto owned = MakeSaoConsistentIndexes(query, options.order, depth);
+      // Default index layout (relation column order) under the
+      // variant-appropriate default SAO, or SAO-consistent layouts
+      // under an order hint.
+      const int depth = options.depth > 0 ? options.depth : min_depth;
+      std::vector<std::unique_ptr<Index>> owned;
+      if (options.order.empty()) {
+        for (const Atom& a : query.atoms()) {
+          owned.push_back(std::make_unique<SortedIndex>(*a.rel, depth));
+        }
+      } else {
+        owned = MakeSaoConsistentIndexes(query, options.order, depth);
+      }
       run = RunTetrisJoin(query, IndexPtrs(owned), depth, *tetris_algo,
                           options.order);
     }

@@ -58,7 +58,7 @@ const std::vector<EngineKind>& AllEngineKinds();
 bool EngineSupports(EngineKind kind, const JoinQuery& query);
 
 /// The join_runner algorithm behind a Tetris-family kind; nullopt for
-/// the baselines. The sharded executor uses it to pick the zero-copy
+/// the baselines. The shard pipeline uses it to pick the zero-copy
 /// view path (Tetris family) over lazy materialization (baselines).
 std::optional<JoinAlgorithm> TetrisAlgorithmOf(EngineKind kind);
 
@@ -100,7 +100,7 @@ struct RunStats {
                                ///< Sharded runs: per-shard peaks, not
                                ///< concurrent sums.
 
-  // Sharded runs only (engine/parallel_executor.h); zero otherwise.
+  // Sharded runs only (engine/batch_runner.h); zero otherwise.
   size_t shards = 0;   ///< planned shard count (incl. empty shards)
   size_t threads = 0;  ///< executor workers the run may occupy
   size_t max_shard_peak_bytes = 0;  ///< max MemoryStats::PeakBytes() over
@@ -113,11 +113,28 @@ struct RunStats {
   size_t plan_bytes = 0;
 };
 
+/// The per-query checks RunJoin and RunBatch share, as an error message
+/// ("" = runnable): `kind` must support `query`, and a non-empty order
+/// hint must be a permutation of its attribute ids on an engine that
+/// takes one (the Balance-lifted variants choose their own SAO).
+std::string QueryError(EngineKind kind, const JoinQuery& query,
+                       const std::vector<int>& order);
+
+/// The checks on caller-built indexes RunJoin and RunBatch share, as an
+/// error message ("" = usable): one per atom, each of its atom's arity,
+/// each built at `depth`.
+std::string IndexesError(const JoinQuery& query,
+                         const std::vector<const Index*>& indexes,
+                         int depth);
+
 /// Per-shard outcome of a sharded run, in shard-id order.
 struct ShardRunInfo {
   int shard_id = 0;
   std::string box;  ///< the shard's subcube, e.g. "<0, λ, 1>"
   bool skipped_empty = false;  ///< some atom restricted to ∅; not run
+  /// Patch runs: the delta missed this shard, so it was not re-run and
+  /// its output is the patch base's tuples inside it.
+  bool kept = false;
   size_t output_tuples = 0;
   RunStats stats;  ///< zero when skipped_empty
 };

@@ -46,6 +46,7 @@ bool RelationOracle::EnumerateAll(std::vector<DyadicBox>* out) const {
     for (const DyadicBox& g : gaps) {
       out->push_back(Embed(query_->atoms()[i], g));
     }
+    enumerated_.fetch_add(gaps.size(), std::memory_order_relaxed);
   }
   return true;
 }
@@ -64,12 +65,6 @@ bool RelationOracle::EnumerateIntersecting(const DyadicBox& box,
     for (const DyadicBox& g : gaps) out->push_back(Embed(a, g));
   }
   return true;
-}
-
-size_t RelationOracle::CountAllGaps() const {
-  std::vector<DyadicBox> all;
-  EnumerateAll(&all);
-  return all.size();
 }
 
 JoinRunResult RunTetrisJoin(const JoinQuery& query,
@@ -124,11 +119,7 @@ JoinRunResult RunTetrisJoin(const JoinQuery& query,
   }
   result.oracle_probes = oracle.probe_count();
   for (const Index* ix : indexes) result.index_bytes += ix->MemoryBytes();
-  if (algo == JoinAlgorithm::kTetrisPreloaded ||
-      algo == JoinAlgorithm::kTetrisPreloadedNoCache ||
-      algo == JoinAlgorithm::kTetrisPreloadedLB) {
-    result.input_gap_boxes = oracle.CountAllGaps();
-  }
+  result.input_gap_boxes = oracle.enumerated_boxes();
   return result;
 }
 

@@ -9,6 +9,7 @@
 #ifndef TETRIS_ENGINE_JOIN_RUNNER_H_
 #define TETRIS_ENGINE_JOIN_RUNNER_H_
 
+#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -42,8 +43,11 @@ class RelationOracle : public BoxOracle {
   bool EnumerateIntersecting(const DyadicBox& box,
                              std::vector<DyadicBox>* out) const override;
 
-  /// Total number of gap boxes across all indexes (|B(Q)|).
-  size_t CountAllGaps() const;
+  /// Gap boxes handed out by EnumerateAll so far — |B(Q)| after the one
+  /// enumeration a preloaded run makes, 0 for runs that only probe.
+  size_t enumerated_boxes() const {
+    return enumerated_.load(std::memory_order_relaxed);
+  }
 
  private:
   // Embeds a k-dim box over atom `a`'s columns into the n-dim query space.
@@ -52,6 +56,7 @@ class RelationOracle : public BoxOracle {
   const JoinQuery* query_;
   std::vector<const Index*> indexes_;
   int d_;
+  mutable std::atomic<size_t> enumerated_{0};
 };
 
 /// Which engine configuration evaluates the join.

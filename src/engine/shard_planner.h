@@ -14,8 +14,8 @@
 //
 // because every query attribute occurs in at least one atom, so a tuple
 // of the restricted join is confined to the subcube in every dimension.
-// Shards are therefore independent — the parallel executor
-// (engine/parallel_executor.h) runs them concurrently on any engine.
+// Shards are therefore independent — the shard pipeline
+// (engine/batch_runner.h) runs them concurrently on any engine.
 //
 // The plan is *lazy*: it never copies tuples. Each atom's rows are
 // bucketed once by their shard-id bits (8 bytes per row, independent of

@@ -1,13 +1,13 @@
 #include "server/join_service.h"
 
 #include <chrono>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
 #include "engine/batch_runner.h"
 #include "engine/cost_model.h"
 #include "engine/incremental.h"
-#include "engine/parallel_executor.h"
 #include "engine/shard_planner.h"
 #include "query/join_query.h"
 
@@ -70,7 +70,7 @@ bool JoinService::AppendRows(const std::string& name,
   // (restamped to the new epoch), intersecting ones become patch bases.
   std::vector<Tuple> changed = d.added;
   changed.insert(changed.end(), d.removed.begin(), d.removed.end());
-  cache_.InvalidateDelta(name, changed, d.to_epoch);
+  cache_.InvalidateDelta(name, changed, d.from_epoch, d.to_epoch);
   registry_.PurgeRetired();
   if (delta != nullptr) *delta = std::move(d);
   return true;
@@ -83,7 +83,7 @@ bool JoinService::DeleteRows(const std::string& name,
   if (!registry_.DeleteRows(name, tuples, error, &d)) return false;
   std::vector<Tuple> changed = d.added;
   changed.insert(changed.end(), d.removed.begin(), d.removed.end());
-  cache_.InvalidateDelta(name, changed, d.to_epoch);
+  cache_.InvalidateDelta(name, changed, d.from_epoch, d.to_epoch);
   registry_.PurgeRetired();
   if (delta != nullptr) *delta = std::move(d);
   return true;
@@ -216,8 +216,9 @@ QueryResponse JoinService::Execute(const QueryRequest& request) {
     meta.epochs[name] = v->epoch;
   }
   const JoinQuery query = JoinQuery::Build(rels);
-  const int eff_depth =
-      request.depth > 0 ? request.depth : query.MinDepth();
+  // One scan of the relations for the depth, handed on to RunBatch.
+  const int min_depth = request.depth > 0 ? 0 : query.MinDepth();
+  const int eff_depth = request.depth > 0 ? request.depth : min_depth;
   meta.depth = eff_depth;
   meta.num_attrs = query.num_attrs();
   for (const Atom& atom : query.atoms()) {
@@ -235,71 +236,45 @@ QueryResponse JoinService::Execute(const QueryRequest& request) {
     }
   }
 
+  std::vector<BatchQueryInputs> inputs(1);
+  inputs[0].min_depth = min_depth;
   // 3b. Patch: a demoted base with this query's unstamped signature plus
-  // a complete registry delta chain lets us re-run only the shards the
-  // deltas touch and splice, instead of recomputing from scratch.
+  // a complete registry delta chain lets the run below re-run only the
+  // shards the deltas touch and splice, instead of recomputing.
+  std::optional<PatchBase> base;
   if (cache_on && options_.incremental) {
-    std::optional<PatchBase> base =
-        cache_.FindPatchBase(ResultCache::BaseKey(meta));
-    if (base.has_value()) {
-      bool chain_ok = true;
-      std::vector<DyadicBox> touched;
-      for (const auto& [bname, bepoch] : base->meta.epochs) {
-        const RelationVersion* v = snap.Find(bname);
-        if (v == nullptr) {
-          chain_ok = false;
-          break;
-        }
-        if (v->epoch == bepoch) continue;  // version unchanged since base
-        std::vector<RelationDelta> chain;
-        // To the SNAPSHOT's epoch, not the registry's current one: a
-        // mutation landing after Snap() must not leak into this patch.
-        if (!registry_.DeltasSince(bname, bepoch, v->epoch, &chain)) {
-          chain_ok = false;  // trimmed log or chain-breaking mutation
-          break;
-        }
-        std::vector<Tuple> changed;
-        for (const RelationDelta& d : chain) {
-          changed.insert(changed.end(), d.added.begin(), d.added.end());
-          changed.insert(changed.end(), d.removed.begin(), d.removed.end());
-        }
-        std::vector<DyadicBox> boxes =
-            TouchedOutputBoxes(query, eff_depth, bname, changed);
-        touched.insert(touched.end(), boxes.begin(), boxes.end());
+    base = cache_.FindPatchBase(ResultCache::BaseKey(meta));
+  }
+  if (base.has_value()) {
+    for (const auto& [bname, bepoch] : base->meta.epochs) {
+      const RelationVersion* v = snap.Find(bname);
+      std::vector<RelationDelta> chain;
+      // To the SNAPSHOT's epoch, not the registry's current one: a
+      // mutation landing after Snap() must not leak into this patch.
+      if (v == nullptr ||
+          (v->epoch != bepoch &&
+           !registry_.DeltasSince(bname, bepoch, v->epoch, &chain))) {
+        base.reset();  // trimmed log or chain-breaking mutation
+        break;
       }
-      if (chain_ok) {
-        EngineOptions eopts;
-        eopts.order = request.order;
-        eopts.depth = eff_depth;
-        eopts.shards = options_.shards;
-        eopts.threads = 0;  // full executor parallelism, like RunBatch
-        eopts.memory_budget_bytes = options_.memory_budget_bytes;
-        eopts.executor = options_.executor;
-        PatchResult pr = PatchJoin(query, request.engine, eopts,
-                                   base->result->tuples, touched);
-        if (pr.result.ok) {
-          resp.patched = !pr.full_recompute;
-          resp.shards_rerun = pr.shards_rerun;
-          resp.shards_total = pr.shards_total;
-          if (resp.patched) patched_.fetch_add(1);
-          std::shared_ptr<const EngineResult> result =
-              std::make_shared<const EngineResult>(std::move(pr.result));
-          cache_.Put(std::move(meta), result);
-          resp.result = std::move(result);
-          registry_.PurgeRetired();
-          return finish();
-        }
-        // An engine that cannot patch this query cannot run it fresh
-        // either (validation is mirrored) — but fall through anyway so
-        // the error comes from the canonical RunBatch path.
+      std::vector<Tuple> changed;
+      for (const RelationDelta& d : chain) {
+        changed.insert(changed.end(), d.added.begin(), d.added.end());
+        changed.insert(changed.end(), d.removed.begin(), d.removed.end());
       }
+      std::vector<DyadicBox> boxes =
+          TouchedOutputBoxes(query, eff_depth, bname, changed);
+      inputs[0].touched.insert(inputs[0].touched.end(), boxes.begin(),
+                               boxes.end());
     }
   }
+  if (base.has_value()) inputs[0].patch_base = &base->result->tuples;
 
   // 4. Execute as a one-query batch on the pool, sharing the registry's
-  // index cache and carrying the deadline into the task loop.
+  // index cache and carrying the deadline into the task loop — the
+  // patch included.
   BatchOptions bopts;
-  bopts.depth = request.depth;
+  bopts.depth = eff_depth;
   bopts.shards = options_.shards;
   bopts.memory_budget_bytes = options_.memory_budget_bytes;
   bopts.executor = options_.executor;
@@ -310,11 +285,20 @@ QueryResponse JoinService::Execute(const QueryRequest& request) {
   if (deadline_ms > 0) {
     bopts.deadline = deadline;
   }
-  BatchResult batch = RunBatch(rels, {query}, request.engine, bopts);
+  BatchResult batch =
+      RunBatch(rels, {query}, request.engine, bopts, inputs);
   std::shared_ptr<const EngineResult> result =
       batch.ok ? std::make_shared<const EngineResult>(
                      std::move(batch.results[0]))
                : FailedResult(request.engine, std::move(batch.error));
+  if (base.has_value() && result->ok) {
+    resp.patched = true;
+    patched_.fetch_add(1);
+    resp.shards_total = result->shard_runs.size();
+    for (const ShardRunInfo& shard : result->shard_runs) {
+      if (!shard.kept) ++resp.shards_rerun;
+    }
+  }
   if (cache_on && result->ok) {
     cache_.Put(std::move(meta), result);
   }

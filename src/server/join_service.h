@@ -23,14 +23,15 @@
 //      construction — except entries provably disjoint from the delta,
 //      which the cache restamps in place (ResultCache::InvalidateDelta).
 //   3b. PATCH — on a miss, a demoted patch base with the same unstamped
-//      signature plus a complete registry delta chain lets the service
-//      re-run only the shards the deltas touch (engine/incremental.h)
-//      and splice them into the stale result instead of recomputing.
-//   4. POOL — a (patchless) miss runs as a one-query RunBatch on the
-//      configured executor (WorkStealingPool::Global() by default),
-//      drawing shared base indexes from the registry's
-//      (relation, layout) IndexCache and carrying the per-query
-//      deadline into the task loop.
+//      signature plus a complete registry delta chain turns step 4 into
+//      a patch: it re-runs only the shards the deltas touch
+//      (engine/incremental.h) and splices them into the stale result
+//      instead of recomputing.
+//   4. POOL — a miss runs as a one-query RunBatch on the configured
+//      executor (WorkStealingPool::Global() by default), drawing shared
+//      base indexes from the registry's (relation, layout) IndexCache and
+//      carrying the per-query deadline into the task loop — patch or
+//      not.
 //
 // Mutations route through the service (Register / Replace / AppendRows /
 // DeleteRows / Drop) so the result cache is invalidated — delta-
@@ -72,7 +73,7 @@ struct ServiceOptions {
   double default_deadline_ms = 0.0;
   /// Result-cache capacity. 0 disables result caching entirely.
   size_t cache_bytes = 64u << 20;
-  /// Patch stale cached results through engine/incremental.h instead of
+  /// Patch stale cached results (engine/incremental.h) instead of
   /// recomputing, when a patch base and a complete delta chain exist.
   bool incremental = true;
   /// Executor queries fan out on. nullptr = the process-global pool.

@@ -103,25 +103,32 @@ std::optional<PatchBase> ResultCache::FindPatchBase(
 
 size_t ResultCache::InvalidateDelta(const std::string& name,
                                     const std::vector<Tuple>& changed,
-                                    uint64_t new_epoch) {
+                                    uint64_t from_epoch, uint64_t to_epoch) {
   std::lock_guard<std::mutex> lock(mu_);
   size_t demoted = 0;
   for (auto it = lru_.begin(); it != lru_.end();) {
     auto next = std::next(it);
-    if (References(it->meta, name)) {
-      if (Touches(it->meta, name, changed)) {
-        DemoteLocked(it);
-        ++demoted;
-        ++invalidations_;
-      } else {
-        // Disjoint from every touched box: still exact under the new
-        // version — restamp the key so post-delta lookups hit it.
-        index_.erase(it->key);
-        it->meta.epochs[name] = new_epoch;
-        it->key = Key(it->meta);
-        index_.emplace(it->key, it);
-        ++survivals_;
-      }
+    const auto stamp = it->meta.epochs.find(name);
+    if (stamp == it->meta.epochs.end() || stamp->second == to_epoch) {
+      // Not over `name`, or already computed over the new version.
+    } else if (stamp->second != from_epoch) {
+      // Computed over a version older than the delta's base (cached
+      // after a mutation it raced): this delta says nothing about it,
+      // so it can never be restamped.
+      RemoveLocked(it);
+      ++invalidations_;
+    } else if (Touches(it->meta, name, changed)) {
+      DemoteLocked(it);
+      ++demoted;
+      ++invalidations_;
+    } else {
+      // Disjoint from every touched box: still exact under the new
+      // version — restamp the key so post-delta lookups hit it.
+      index_.erase(it->key);
+      stamp->second = to_epoch;
+      it->key = Key(it->meta);
+      index_.emplace(it->key, it);
+      ++survivals_;
     }
     it = next;
   }

@@ -109,18 +109,21 @@ class ResultCache {
   std::optional<PatchBase> FindPatchBase(const std::string& base_key);
 
   /// Applies the touched-box test for a row-level delta to relation
-  /// `name` whose effective changed tuples (added and removed alike)
-  /// are `changed`, installed at `new_epoch`. Entries not referencing
-  /// `name` are untouched; referencing entries survive (restamped to
-  /// `new_epoch`, counted in survivals()) iff no changed tuple projects
+  /// `name` from version `from_epoch` to `to_epoch`, whose effective
+  /// changed tuples (added and removed alike) are `changed`. Entries
+  /// not referencing `name`, or already stamped `to_epoch`, are
+  /// untouched. Entries stamped `from_epoch` survive (restamped to
+  /// `to_epoch`, counted in survivals()) iff no changed tuple projects
   /// onto their output space, and are otherwise demoted to the
-  /// patch-base store (counted in invalidations()). Patch bases
-  /// referencing `name` stay — their meta still names the exact epochs
-  /// they were computed over, which is what patching needs. Returns the
-  /// number of entries demoted.
+  /// patch-base store. Entries stamped with any other epoch were
+  /// computed over an older version the delta does not describe: they
+  /// are dropped, never restamped. Demotions and drops count in
+  /// invalidations(). Patch bases referencing `name` stay — their meta
+  /// still names the exact epochs they were computed over, which is
+  /// what patching needs. Returns the number of entries demoted.
   size_t InvalidateDelta(const std::string& name,
                          const std::vector<Tuple>& changed,
-                         uint64_t new_epoch);
+                         uint64_t from_epoch, uint64_t to_epoch);
 
   /// Frees every entry AND patch base whose query touches `name` — the
   /// epoch-global hammer for chain-breaking mutations (Register /

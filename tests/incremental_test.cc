@@ -246,12 +246,12 @@ void RunRandomizedDifferential(MutableInstance* inst, EngineKind kind,
     std::vector<Tuple> changed;
     // A few inserts (sometimes duplicates of existing rows)...
     for (int k = 0; k < 3; ++k) {
-      Tuple t;
-      if (!rel.empty() && Next(&s) % 4 == 0) {
-        t = rel[Next(&s) % rel.size()];  // duplicate: effectively empty
-      } else {
-        t = {Next(&s) % (1ull << d), Next(&s) % (1ull << d)};
-      }
+      // Built in one expression: gcc 12 at -O2+ flags assigning a braced
+      // list into an empty Tuple as a memmove into null (-Wnonnull).
+      const bool duplicate = !rel.empty() && Next(&s) % 4 == 0;
+      const Tuple t = duplicate ? rel[Next(&s) % rel.size()]  // no-op insert
+                                : Tuple{Next(&s) % (1ull << d),
+                                        Next(&s) % (1ull << d)};
       changed.push_back(t);
       rel.push_back(t);
     }

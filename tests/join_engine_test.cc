@@ -10,7 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "engine/shard_planner.h"
 #include "index/dyadic_index.h"
+#include "index/index_view.h"
 #include "index/sorted_index.h"
 #include "workload/generators.h"
 
@@ -289,6 +291,62 @@ TEST(JoinEngineTest, StatsArePopulatedPerEngineFamily) {
   ASSERT_TRUE(hash.ok);
   EXPECT_GT(hash.stats.baseline.max_intermediate, 0u);
   EXPECT_GE(hash.stats.wall_ms, 0.0);
+}
+
+// |B(Q)| is counted from the one gap enumeration a preloaded run makes:
+// exactly the summed AllGaps sizes of the indexes the run probes — the
+// per-atom SortedIndexes unsharded, and each live shard's IndexViews
+// over them sharded.
+TEST(JoinEngineTest, InputGapBoxesCountTheEnumeratedGapsExactly) {
+  QueryInstance q = RandomTriangle(/*tuples_per_rel=*/60, /*d=*/4,
+                                   /*seed=*/9);
+  std::vector<std::unique_ptr<Index>> base;
+  for (const Atom& a : q.query.atoms()) {
+    base.push_back(std::make_unique<SortedIndex>(*a.rel, q.depth));
+  }
+  auto gap_count = [](const Index& ix) {
+    std::vector<DyadicBox> gaps;
+    ix.AllGaps(&gaps);
+    return gaps.size();
+  };
+  size_t unsharded = 0;
+  for (const auto& ix : base) unsharded += gap_count(*ix);
+
+  ShardPlanOptions popt;
+  popt.shards = 4;
+  popt.depth = q.depth;
+  const ShardPlan plan = PlanShards(q.query, popt);
+  size_t sharded = 0;
+  for (const Shard& shard : plan.shards) {
+    if (shard.empty) continue;
+    for (size_t i = 0; i < base.size(); ++i) {
+      const Atom& a = q.query.atoms()[i];
+      DyadicBox abox = DyadicBox::Universal(static_cast<int>(a.var_ids.size()));
+      for (size_t c = 0; c < a.var_ids.size(); ++c) {
+        abox[static_cast<int>(c)] = shard.box[a.var_ids[c]];
+      }
+      sharded += gap_count(IndexView(base[i].get(), abox));
+    }
+  }
+  ASSERT_GT(unsharded, 0u);
+
+  for (EngineKind kind :
+       {EngineKind::kTetrisPreloaded, EngineKind::kTetrisPreloadedNoCache,
+        EngineKind::kTetrisPreloadedLB}) {
+    SCOPED_TRACE(EngineKindName(kind));
+    EngineOptions opts;
+    opts.depth = q.depth;
+    const EngineResult plain = RunJoin(q.query, kind, opts);
+    ASSERT_TRUE(plain.ok) << plain.error;
+    EXPECT_EQ(plain.stats.input_gap_boxes, unsharded);
+    opts.shards = 4;
+    const EngineResult split = RunJoin(q.query, kind, opts);
+    ASSERT_TRUE(split.ok) << split.error;
+    EXPECT_EQ(split.stats.input_gap_boxes, sharded);
+  }
+  // Reloaded runs only probe: nothing is enumerated.
+  EXPECT_EQ(RunJoin(q.query, EngineKind::kTetrisReloaded).stats.input_gap_boxes,
+            0u);
 }
 
 // Leapfrog / Generic Join derive their trie order (GAO) from SortedIndex

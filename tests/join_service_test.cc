@@ -254,11 +254,17 @@ TEST(JoinServiceTest, QueuedQueriesWaitForASlotInsteadOfRejecting) {
 
   QueryRequest slow = Triangle(EngineKind::kPairwiseNestedLoop);
   slow.use_cache = false;
+  std::atomic<bool> done{false};
   std::thread worker([&]() {
     const QueryResponse r = service.Execute(slow);
     EXPECT_TRUE(r.result->ok) << r.result->error;
+    done.store(true);
   });
-  while (service.inflight() == 0) std::this_thread::yield();
+  // Until the worker holds its slot — or, on a loaded machine, has
+  // already finished and released it.
+  while (service.inflight() == 0 && !done.load()) {
+    std::this_thread::yield();
+  }
 
   // This probe lands while the slot is held: it queues (never a
   // rejection) and completes once the slow query drains.
@@ -283,11 +289,17 @@ TEST(JoinServiceTest, QueuedDeadlineExpiresAsARejection) {
 
   QueryRequest slow = Triangle(EngineKind::kPairwiseNestedLoop);
   slow.use_cache = false;
+  std::atomic<bool> done{false};
   std::thread worker([&]() {
     const QueryResponse r = service.Execute(slow);
     EXPECT_TRUE(r.result->ok) << r.result->error;
+    done.store(true);
   });
-  while (service.inflight() == 0) std::this_thread::yield();
+  // Until the worker holds its slot — or, on a loaded machine, has
+  // already finished and released it.
+  while (service.inflight() == 0 && !done.load()) {
+    std::this_thread::yield();
+  }
 
   // While the slot is held, a tightly-deadlined probe queues and then
   // expires in the queue rather than blocking forever. (If the slow
@@ -417,6 +429,71 @@ TEST(JoinServiceTest, OneRowAppendPromotesIndexesWithZeroRebuilds) {
   service.registry().index_cache().Clear();
   service.registry().PurgeRetired();
   EXPECT_EQ(service.registry().retired(), 0u);
+}
+
+// Appends one genuinely new row to S: an effective, non-noop delta.
+void AppendNewRowToS(JoinService* service) {
+  Tuple row{31, 31};
+  {
+    const auto snap = service->registry().Snap();
+    while (snap.Find("S")->rel->Contains(row)) --row[1];
+  }
+  std::string error;
+  ASSERT_TRUE(service->AppendRows("S", {row}, &error)) << error;
+}
+
+TEST(JoinServiceTest, PatchedReserveDrawsItsIndexesFromTheCache) {
+  // The patch path runs through the same pipeline as a cold query: its
+  // base indexes come from the registry's IndexCache (S's promoted
+  // overlay, R's and T's unchanged entries), so a patched re-serve after
+  // a 1-row append builds no index at all, cached or not.
+  JoinService service;
+  RegisterRandomTriangle(&service, /*tuples=*/60, /*d=*/5, /*seed=*/19);
+  QueryRequest query = Triangle(EngineKind::kTetrisPreloaded);
+  query.depth = 6;  // stable across the append
+  ASSERT_TRUE(service.Execute(query).result->ok);
+  AppendNewRowToS(&service);
+  ASSERT_EQ(service.cache().patch_bases(), 1u);
+
+  const IndexCache& ix = service.registry().index_cache();
+  const size_t builds = ix.builds();
+  const size_t hits = ix.hits();
+  const QueryResponse patched = service.Execute(query);
+  ASSERT_TRUE(patched.result->ok) << patched.result->error;
+  EXPECT_TRUE(patched.patched);
+  EXPECT_EQ(ix.builds(), builds);
+  EXPECT_EQ(ix.hits(), hits + 3);  // one cache probe per atom
+
+  QueryRequest scratch = query;
+  scratch.use_cache = false;
+  EXPECT_EQ(patched.result->tuples, service.Execute(scratch).result->tuples);
+}
+
+TEST(JoinServiceTest, PatchPastItsDeadlineFailsInsteadOfServing) {
+  JoinService service;
+  RegisterRandomTriangle(&service, /*tuples=*/60, /*d=*/5, /*seed=*/21);
+  QueryRequest query = Triangle(EngineKind::kTetrisPreloaded);
+  query.depth = 6;
+  ASSERT_TRUE(service.Execute(query).result->ok);
+  AppendNewRowToS(&service);
+  ASSERT_EQ(service.cache().patch_bases(), 1u);
+
+  // The shards the append touched are abandoned on the deadline: the
+  // patch fails with the deadline error, it does not serve a result.
+  QueryRequest late = query;
+  late.deadline_ms = 1e-6;  // effectively already expired
+  const QueryResponse expired = service.Execute(late);
+  EXPECT_FALSE(expired.result->ok);
+  EXPECT_NE(expired.result->error.find("deadline exceeded"),
+            std::string::npos)
+      << expired.result->error;
+  EXPECT_FALSE(expired.patched);
+  EXPECT_EQ(service.patched(), 0u);
+
+  // The base stays for the next, unhurried query.
+  const QueryResponse served = service.Execute(query);
+  ASSERT_TRUE(served.result->ok) << served.result->error;
+  EXPECT_TRUE(served.patched);
 }
 
 TEST(JoinServiceTest, SnapshotsStayConsistentUnderConcurrentMutations) {

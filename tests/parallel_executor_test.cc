@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "engine/join_engine.h"
+#include "engine/shard_planner.h"
 #include "index/index_view.h"
 #include "workload/generators.h"
 
@@ -117,15 +118,16 @@ TEST(ParallelForTest, CoversTheWholeRange) {
   constexpr int kN = 57;
   std::vector<std::atomic<int>> hits(kN);
   for (auto& h : hits) h.store(0);
-  ParallelFor(/*threads=*/3, kN, [&hits](int i) { ++hits[i]; });
+  ParallelFor(/*pool=*/nullptr, /*max_parallel=*/3, kN,
+              [&hits](int i) { ++hits[i]; });
   for (int i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-  ParallelFor(/*threads=*/3, 0, [](int) { FAIL(); });
+  ParallelFor(/*pool=*/nullptr, /*max_parallel=*/3, 0, [](int) { FAIL(); });
 }
 
 // Sharded output == unsharded output, engine by engine. This is the
 // cross-engine agreement matrix of the acceptance criteria: randomized
 // triangle (cyclic) and path (acyclic) workloads, all 11 engines.
-TEST(RunShardedJoinTest, ShardedMatchesUnshardedForEveryEngine) {
+TEST(ShardedRunJoinTest, ShardedMatchesUnshardedForEveryEngine) {
   std::vector<QueryInstance> workloads;
   for (uint64_t seed = 1; seed <= 3; ++seed) {
     workloads.push_back(
@@ -158,7 +160,7 @@ TEST(RunShardedJoinTest, ShardedMatchesUnshardedForEveryEngine) {
   }
 }
 
-TEST(RunShardedJoinTest, ShardRunsAreOrderedByIdWithPartialCounts) {
+TEST(ShardedRunJoinTest, ShardRunsAreOrderedByIdWithPartialCounts) {
   QueryInstance q = RandomTriangle(/*tuples_per_rel=*/50, /*d=*/4,
                                    /*seed=*/11);
   EngineOptions opts;
@@ -177,7 +179,7 @@ TEST(RunShardedJoinTest, ShardRunsAreOrderedByIdWithPartialCounts) {
   EXPECT_EQ(total, r.tuples.size());
 }
 
-TEST(RunShardedJoinTest, ThreadsAloneImplyAutoSharding) {
+TEST(ShardedRunJoinTest, ThreadsAloneImplyAutoSharding) {
   QueryInstance q = RandomTriangle(/*tuples_per_rel=*/30, /*d=*/4,
                                    /*seed=*/12);
   EngineResult plain = RunJoin(q.query, EngineKind::kTetrisPreloaded);
@@ -190,7 +192,7 @@ TEST(RunShardedJoinTest, ThreadsAloneImplyAutoSharding) {
   EXPECT_EQ(r.tuples, plain.tuples);
 }
 
-TEST(RunShardedJoinTest, MemoryBudgetSplitsAndIsRespectedOrReported) {
+TEST(ShardedRunJoinTest, MemoryBudgetSplitsAndIsRespectedOrReported) {
   QueryInstance q = RandomTriangle(/*tuples_per_rel=*/60, /*d=*/5,
                                    /*seed=*/13);
   EngineResult plain = RunJoin(q.query, EngineKind::kTetrisPreloaded);
@@ -247,7 +249,7 @@ TEST(RunShardedJoinTest, MemoryBudgetSplitsAndIsRespectedOrReported) {
   }
 }
 
-TEST(RunShardedJoinTest, ImpossibleBudgetStillFinishesAndReports) {
+TEST(ShardedRunJoinTest, ImpossibleBudgetStillFinishesAndReports) {
   QueryInstance q = RandomTriangle(/*tuples_per_rel=*/30, /*d=*/4,
                                    /*seed=*/14);
   EngineResult plain = RunJoin(q.query, EngineKind::kLeapfrog);
@@ -259,7 +261,7 @@ TEST(RunShardedJoinTest, ImpossibleBudgetStillFinishesAndReports) {
   EXPECT_EQ(r.tuples, plain.tuples);
 }
 
-TEST(RunShardedJoinTest, EmptyShardsAreSkippedNotRun) {
+TEST(ShardedRunJoinTest, EmptyShardsAreSkippedNotRun) {
   // Clustered data (all values < 2^(d-1)) leaves the upper subcubes
   // empty; those shards must be skipped and the output still exact.
   Relation r1 = Relation::Make("R", {"A", "B"},
@@ -287,7 +289,7 @@ TEST(RunShardedJoinTest, EmptyShardsAreSkippedNotRun) {
   EXPECT_GT(skipped, 0u);
 }
 
-TEST(RunShardedJoinTest, CustomIndexesRideThroughTetrisShardingOnly) {
+TEST(ShardedRunJoinTest, CustomIndexesRideThroughTetrisShardingOnly) {
   QueryInstance q = RandomTriangle(/*tuples_per_rel=*/20, /*d=*/4,
                                    /*seed=*/15);
   // The Tetris family wraps caller indexes in zero-copy IndexViews per
@@ -328,7 +330,7 @@ TEST(RunShardedJoinTest, CustomIndexesRideThroughTetrisShardingOnly) {
 // copies — per-shard peaks stay within a constant of the unsharded run,
 // the Tetris shards carry no per-shard index copies at all, and the plan
 // itself keeps only row indices.
-TEST(RunShardedJoinTest, ShardedPeakStaysNearUnshardedWithoutCopies) {
+TEST(ShardedRunJoinTest, ShardedPeakStaysNearUnshardedWithoutCopies) {
   QueryInstance q = RandomTriangle(/*tuples_per_rel=*/120, /*d=*/6,
                                    /*seed=*/31);
   EngineResult plain = RunJoin(q.query, EngineKind::kTetrisPreloaded);
@@ -382,7 +384,7 @@ TEST(RunShardedJoinTest, ShardedPeakStaysNearUnshardedWithoutCopies) {
 // Run helps), stays within the pool's width, and still produces the
 // sequential results. This is the global-pool reuse path the TSan job
 // covers.
-TEST(RunShardedJoinTest, NestedShardingSharesOneExecutor) {
+TEST(ShardedRunJoinTest, NestedShardingSharesOneExecutor) {
   WorkStealingPool pool(3);
   QueryInstance q = RandomTriangle(/*tuples_per_rel=*/40, /*d=*/4,
                                    /*seed=*/32);
@@ -410,7 +412,7 @@ TEST(RunShardedJoinTest, NestedShardingSharesOneExecutor) {
 
 // Budget runs calibrate the estimator from a probe pass and audit the
 // prediction after the run.
-TEST(RunShardedJoinTest, BudgetRunsReportTheEstimatorAudit) {
+TEST(ShardedRunJoinTest, BudgetRunsReportTheEstimatorAudit) {
   QueryInstance q = RandomTriangle(/*tuples_per_rel=*/60, /*d=*/5,
                                    /*seed=*/33);
   const size_t estimate = PlanShards(q.query, {}).max_estimated_peak_bytes;
@@ -429,7 +431,7 @@ TEST(RunShardedJoinTest, BudgetRunsReportTheEstimatorAudit) {
 // contains the probe's subcube, the probe's output is reused as that
 // shard's result instead of being discarded — and the merged output is
 // still exactly the unsharded one.
-TEST(RunShardedJoinTest, ProbeResultsAreReusedAsShardOutputs) {
+TEST(ShardedRunJoinTest, ProbeResultsAreReusedAsShardOutputs) {
   QueryInstance q = FullGridTriangle(/*m=*/8);  // balanced: probes run
   EngineOptions opts;
   opts.shards = 8;  // the final plan repeats the 8-way probe plan
@@ -449,7 +451,7 @@ TEST(RunShardedJoinTest, ProbeResultsAreReusedAsShardOutputs) {
 // copies count toward the per-shard peak (the baselines keep them
 // resident for the whole shard run), and a budget below the
 // always-resident shared base indexes is called out up front.
-TEST(RunShardedJoinTest, BudgetAccountingCountsCopiesAndBaseIndexes) {
+TEST(ShardedRunJoinTest, BudgetAccountingCountsCopiesAndBaseIndexes) {
   QueryInstance q = RandomTriangle(/*tuples_per_rel=*/50, /*d=*/5,
                                    /*seed=*/34);
   EngineOptions opts;
@@ -474,7 +476,7 @@ TEST(RunShardedJoinTest, BudgetAccountingCountsCopiesAndBaseIndexes) {
       << tp.shard_note;
 }
 
-TEST(RunShardedJoinTest, ShardedRunHonorsOrderHints) {
+TEST(ShardedRunJoinTest, ShardedRunHonorsOrderHints) {
   QueryInstance q = RandomTriangle(/*tuples_per_rel=*/40, /*d=*/4,
                                    /*seed=*/16);
   EngineOptions opts;

@@ -191,7 +191,9 @@ TEST(ResultCacheTest, EntrySurvivesDeltaDisjointFromItsOutputSpace) {
   cache.Put(meta, result);
 
   // Disagreeing delta tuples project onto no output point.
-  EXPECT_EQ(cache.InvalidateDelta("R", {{1, 2}, {5, 3}}, /*new_epoch=*/2), 0u);
+  EXPECT_EQ(cache.InvalidateDelta("R", {{1, 2}, {5, 3}}, /*from_epoch=*/1,
+                                  /*to_epoch=*/2),
+            0u);
   EXPECT_EQ(cache.survivals(), 1u);
   EXPECT_EQ(cache.invalidations(), 0u);
   EXPECT_EQ(cache.entries(), 1u);
@@ -202,7 +204,9 @@ TEST(ResultCacheTest, EntrySurvivesDeltaDisjointFromItsOutputSpace) {
   EXPECT_EQ(cache.Get(ResultCache::Key(meta)).get(), result.get());
 
   // An agreeing tuple touches Unit(5) — the entry demotes.
-  EXPECT_EQ(cache.InvalidateDelta("R", {{5, 5}}, /*new_epoch=*/3), 1u);
+  EXPECT_EQ(cache.InvalidateDelta("R", {{5, 5}}, /*from_epoch=*/2,
+                                  /*to_epoch=*/3),
+            1u);
   EXPECT_EQ(cache.invalidations(), 1u);
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_EQ(cache.patch_bases(), 1u);
@@ -214,11 +218,31 @@ TEST(ResultCacheTest, EmptyDeltaRestampsEveryReferencingEntry) {
   const CacheEntryMeta x = Meta({{"X", {0, 1}}});
   cache.Put(r, FakeResult(2));
   cache.Put(x, FakeResult(2));
-  EXPECT_EQ(cache.InvalidateDelta("R", {}, /*new_epoch=*/9), 0u);
+  EXPECT_EQ(cache.InvalidateDelta("R", {}, /*from_epoch=*/1, /*to_epoch=*/9),
+            0u);
   EXPECT_EQ(cache.survivals(), 1u);  // only the referencing entry counts
   r.epochs["R"] = 9;
   EXPECT_NE(cache.Get(ResultCache::Key(r)), nullptr);
   EXPECT_NE(cache.Get(ResultCache::Key(x)), nullptr);
+}
+
+// An entry cached over an older version than the delta's base — a
+// query that snapshotted before a mutation and cached after that
+// mutation's invalidation ran — must never be restamped by a later
+// delta: it would be served as current while missing the rows in
+// between.
+TEST(ResultCacheTest, StaleEntryIsNeverRestampedByALaterDelta) {
+  ResultCache cache(1u << 20);
+  CacheEntryMeta meta = Meta({{"R", {0, 1}}});  // stamped R@1
+  cache.Put(meta, FakeResult(2));
+  // R moved 1 -> 2 before the Put; now an empty delta moves it 2 -> 3.
+  EXPECT_EQ(cache.InvalidateDelta("R", {}, /*from_epoch=*/2,
+                                  /*to_epoch=*/3),
+            0u);
+  meta.epochs["R"] = 3;
+  EXPECT_EQ(cache.Get(ResultCache::Key(meta)), nullptr);
+  EXPECT_EQ(cache.survivals(), 0u);
+  EXPECT_EQ(cache.entries(), 0u);
 }
 
 TEST(ResultCacheTest, OffGridDeltaValueTouchesEverything) {
@@ -228,7 +252,9 @@ TEST(ResultCacheTest, OffGridDeltaValueTouchesEverything) {
   const CacheEntryMeta meta = Meta({{"R", {0, 0}}}, /*depth=*/3,
                                    /*num_attrs=*/1);
   cache.Put(meta, FakeResult(2));
-  EXPECT_EQ(cache.InvalidateDelta("R", {{100, 200}}, /*new_epoch=*/2), 1u);
+  EXPECT_EQ(cache.InvalidateDelta("R", {{100, 200}}, /*from_epoch=*/1,
+                                  /*to_epoch=*/2),
+            1u);
   EXPECT_EQ(cache.entries(), 0u);
   EXPECT_EQ(cache.patch_bases(), 1u);
 }
@@ -239,7 +265,9 @@ TEST(ResultCacheTest, DemotedEntryIsFoundByBaseKeyWithItsOldEpochs) {
   meta.epochs["R"] = 5;
   auto result = FakeResult(4);
   cache.Put(meta, result);
-  EXPECT_EQ(cache.InvalidateDelta("R", {{1, 2}}, /*new_epoch=*/6), 1u);
+  EXPECT_EQ(cache.InvalidateDelta("R", {{1, 2}}, /*from_epoch=*/5,
+                                  /*to_epoch=*/6),
+            1u);
 
   std::optional<PatchBase> base =
       cache.FindPatchBase(ResultCache::BaseKey(meta));
@@ -259,13 +287,13 @@ TEST(ResultCacheTest, NewerDemotionSupersedesTheOlderBase) {
   CacheEntryMeta meta = Meta({{"R", {0, 1}}}, /*depth=*/3, /*num_attrs=*/2);
   auto v1 = FakeResult(2);
   cache.Put(meta, v1);
-  cache.InvalidateDelta("R", {{1, 2}}, /*new_epoch=*/2);
+  cache.InvalidateDelta("R", {{1, 2}}, /*from_epoch=*/1, /*to_epoch=*/2);
 
   CacheEntryMeta meta2 = meta;
   meta2.epochs["R"] = 2;
   auto v2 = FakeResult(4);
   cache.Put(meta2, v2);
-  cache.InvalidateDelta("R", {{3, 3}}, /*new_epoch=*/3);
+  cache.InvalidateDelta("R", {{3, 3}}, /*from_epoch=*/2, /*to_epoch=*/3);
 
   EXPECT_EQ(cache.patch_bases(), 1u);  // one slot per base key
   std::optional<PatchBase> base =
@@ -286,7 +314,8 @@ TEST(ResultCacheTest, PatchBasesEvictBeforeServableEntries) {
   const CacheEntryMeta mc = Meta({{"C", {0, 1}}}, /*depth=*/3,
                                  /*num_attrs=*/2);
   cache.Put(ma, a);
-  cache.InvalidateDelta("A", {{1, 1}}, /*new_epoch=*/2);  // demote to base
+  // Demote to base.
+  cache.InvalidateDelta("A", {{1, 1}}, /*from_epoch=*/1, /*to_epoch=*/2);
   EXPECT_EQ(cache.patch_bases(), 1u);
 
   cache.Put(mb, FakeResult(16));
@@ -303,7 +332,7 @@ TEST(ResultCacheTest, InvalidateRelationClearsPatchBasesToo) {
   const CacheEntryMeta meta = Meta({{"R", {0, 1}}}, /*depth=*/3,
                                    /*num_attrs=*/2);
   cache.Put(meta, FakeResult(2));
-  cache.InvalidateDelta("R", {{1, 2}}, /*new_epoch=*/2);
+  cache.InvalidateDelta("R", {{1, 2}}, /*from_epoch=*/1, /*to_epoch=*/2);
   EXPECT_EQ(cache.patch_bases(), 1u);
   // Replace/Drop breaks the delta chain — a base for R is useless.
   EXPECT_EQ(cache.InvalidateRelation("R"), 1u);
